@@ -226,7 +226,7 @@ func BenchmarkFig10Decoder(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// Tridiagonal + Sherman–Morrison vs dense LU inside QWM's Newton update
+// The O(K) bordered tridiagonal solve vs dense LU inside QWM's Newton update
 // (paper §IV-B: "tridiagonal method gives almost twice speedup over LU").
 func BenchmarkAblationTridiagVsLU(b *testing.B) {
 	h := harness(b)
@@ -372,72 +372,57 @@ func BenchmarkCharacterize(b *testing.B) {
 	}
 }
 
-// Micro-benchmark of the linear-solver kernels at the QWM system size.
+// Micro-benchmark of the linear-solver kernels at the QWM system size, on
+// two bordered matrices: a diagonally dominant one, and one with QWM's real
+// unit mix, where the τ′ column and the event row are ~1e9 larger than the
+// current rows. The second is the shape an unpivoted Thomas sweep with a
+// whole-matrix pivot threshold rejected.
 func BenchmarkSolverKernels(b *testing.B) {
 	const n = 11 // K = 10 stack + τ′
-	tri := la.NewTridiag(n)
-	for i := 0; i < n; i++ {
-		tri.Diag[i] = 4
-		if i < n-1 {
-			tri.Sub[i] = -1
-			tri.Sup[i] = -1
-		}
-	}
-	u := make([]float64, n)
-	v := make([]float64, n)
-	v[n-1] = 1
-	for i := 0; i < n-2; i++ {
-		u[i] = 0.3
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = float64(i + 1)
-	}
-	b.Run("shermanMorrison", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := tri.SolveRankOne(u, v, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("shermanMorrisonInto", func(b *testing.B) {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		z := make([]float64, n)
-		cp := make([]float64, n-1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := tri.SolveRankOneInto(u, v, rhs, x, y, z, cp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("denseLU", func(b *testing.B) {
-		dense := tri.Dense()
+	run := func(name string, scale, tauCol float64) {
+		tri := la.NewTridiag(n)
+		u := make([]float64, n)
 		for i := 0; i < n; i++ {
-			dense.Add(i, n-1, u[i])
-		}
-		for i := 0; i < b.N; i++ {
-			if _, err := la.SolveDense(dense, rhs); err != nil {
-				b.Fatal(err)
+			tri.Diag[i] = 4 * scale
+			if i < n-1 {
+				tri.Sub[i] = -scale
+				tri.Sup[i] = -scale
+			}
+			if i < n-2 {
+				u[i] = 0.3 * tauCol
 			}
 		}
-	})
-	b.Run("denseLUInto", func(b *testing.B) {
-		dense := tri.Dense()
-		for i := 0; i < n; i++ {
-			dense.Add(i, n-1, u[i])
+		tri.Sup[n-2] = tauCol
+		tri.Diag[n-1] = 4 * tauCol
+		rhs := make([]float64, n)
+		for i := range rhs {
+			rhs[i] = float64(i + 1)
 		}
 		x := make([]float64, n)
-		lu := la.NewMatrix(n, n)
-		piv := make([]int, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := la.SolveDenseInto(dense, rhs, x, lu, piv); err != nil {
-				b.Fatal(err)
+		b.Run(name+"/bordered", func(b *testing.B) {
+			work := make([]float64, 4*n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tri.SolveBorderedInto(u, rhs, x, work); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+		b.Run(name+"/denseLU", func(b *testing.B) {
+			dense := la.NewMatrix(n, n)
+			tri.BorderedDenseInto(u, dense)
+			lu := la.NewMatrix(n, n)
+			piv := make([]int, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := la.SolveDenseInto(dense, rhs, x, lu, piv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	run("dominant", 1, 1)
+	run("qwmUnits", 1e-12, 1e-3)
 }

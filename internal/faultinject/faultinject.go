@@ -24,8 +24,9 @@ import (
 //
 //   - NRDivergence fails a QWM region solve outright, as a Newton
 //     non-convergence near a flat region would (site: qwm.solveRegion).
-//   - PivotBreakdown forces the tridiagonal Thomas sweep's near-zero-pivot
-//     error path, exercising the in-scratch dense-LU recovery (site:
+//   - PivotBreakdown forces a pivot breakdown in the Newton update's
+//     bordered-tridiagonal solve, exercising the in-scratch dense-LU
+//     recovery, which must reproduce the kernel's bits (site:
 //     qwm regionSys.newton).
 //   - Panic raises a synthetic panic inside a worker-side tier evaluation,
 //     exercising the recover() isolation that converts panics into typed

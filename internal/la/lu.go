@@ -33,6 +33,9 @@ func FactorLU(a *Matrix) (*LU, error) {
 
 // factorInPlace runs Gaussian elimination with partial pivoting directly on
 // lu's storage, recording the row permutation in piv and its parity in sign.
+// Every product is rounded before it is subtracted (the explicit float64
+// conversions forbid fused multiply-add), so the result has the same bits on
+// every platform and Tridiag.SolveBorderedInto can reproduce it exactly.
 func factorInPlace(lu *Matrix, piv []int, sign *int) error {
 	n := lu.Rows
 	for i := range piv {
@@ -68,7 +71,7 @@ func factorInPlace(lu *Matrix, piv []int, sign *int) error {
 			ri := lu.Data[i*n : (i+1)*n]
 			rk := lu.Data[k*n : (k+1)*n]
 			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+				ri[j] -= float64(m * rk[j])
 			}
 		}
 	}
@@ -99,7 +102,7 @@ func luSolveInto(lu *Matrix, piv []int, b, x []float64) {
 		s := x[i]
 		row := lu.Data[i*n : (i+1)*n]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -108,7 +111,7 @@ func luSolveInto(lu *Matrix, piv []int, b, x []float64) {
 		s := x[i]
 		row := lu.Data[i*n : (i+1)*n]
 		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s / row[i]
 	}

@@ -1,8 +1,9 @@
 // Package la provides the dense and structured linear-algebra kernels the
-// timing engines are built on: LU factorization with partial pivoting, the
-// Thomas tridiagonal solver, a Sherman–Morrison solve for tridiagonal plus
-// rank-one systems, least-squares polynomial fitting, polynomial root
-// finding, and a damped Newton–Raphson driver.
+// timing engines are built on: LU factorization with partial pivoting, an
+// O(n) pivoted solver for tridiagonal matrices with an optional dense last
+// column (bit-identical to the dense LU on the same matrix), least-squares
+// polynomial fitting, polynomial root finding, and a damped Newton–Raphson
+// iteration.
 //
 // Everything is hand-rolled on float64 slices; there are no external
 // dependencies. Matrices are small (circuit-sized), so the implementations

@@ -58,7 +58,7 @@ func TestTridiagSingular(t *testing.T) {
 	}
 }
 
-// Property: Thomas solve agrees with dense LU on random diagonally dominant
+// Property: Solve agrees with dense LU on random diagonally dominant
 // tridiagonal systems.
 func TestTridiagMatchesLUProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -116,62 +116,19 @@ func TestTridiagResidualProperty(t *testing.T) {
 	}
 }
 
-// Property: Sherman–Morrison rank-one solve agrees with the dense solve of
-// the explicitly assembled matrix T + u·vᵀ.
-func TestShermanMorrisonMatchesDenseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(12)
-		tri := randomDDTridiag(r, n)
-		u := make([]float64, n)
-		v := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			u[i] = r.NormFloat64() * 0.3 // keep perturbation small vs diagonal
-			v[i] = r.NormFloat64() * 0.3
-			b[i] = r.NormFloat64()
-		}
-		x1, err := tri.SolveRankOne(u, v, b)
-		if err != nil {
-			return false
-		}
-		dense := tri.Dense()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				dense.Add(i, j, u[i]*v[j])
-			}
-		}
-		x2, err := SolveDense(dense, b)
-		if err != nil {
-			return false
-		}
-		for i := range x1 {
-			if !almostEq(x1[i], x2[i], 1e-8) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// The QWM Jacobian shape: tridiagonal everywhere except a dense last column,
-// expressed as u = that column's out-of-band part, v = e_n.
-func TestShermanMorrisonLastColumn(t *testing.T) {
+// The QWM Jacobian shape: tridiagonal everywhere except a dense last
+// column, u holding that column's out-of-band part.
+func TestSolveBorderedLastColumn(t *testing.T) {
 	n := 5
 	r := rand.New(rand.NewSource(42))
 	tri := randomDDTridiag(r, n)
 	u := make([]float64, n)
-	v := make([]float64, n)
-	v[n-1] = 1
 	for i := 0; i < n-2; i++ { // out-of-band rows of the last column
 		u[i] = r.NormFloat64()
 	}
 	b := []float64{1, 2, 3, 4, 5}
-	x1, err := tri.SolveRankOne(u, v, b)
-	if err != nil {
+	x := make([]float64, n)
+	if err := tri.SolveBorderedInto(u, b, x, make([]float64, 4*n)); err != nil {
 		t.Fatal(err)
 	}
 	dense := tri.Dense()
@@ -182,9 +139,9 @@ func TestShermanMorrisonLastColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range x1 {
-		if !almostEq(x1[i], x2[i], 1e-9) {
-			t.Errorf("x[%d]: SM %g vs LU %g", i, x1[i], x2[i])
+	for i := range x {
+		if !almostEq(x[i], x2[i], 1e-9) {
+			t.Errorf("x[%d]: bordered %g vs LU %g", i, x[i], x2[i])
 		}
 	}
 }
@@ -207,9 +164,9 @@ func TestTridiagDense(t *testing.T) {
 	}
 }
 
-// SolveInto must match Solve exactly (same elimination order, same pivot
-// checks) and tolerate b aliasing x.
-func TestTridiagSolveIntoMatchesSolve(t *testing.T) {
+// SolveBorderedInto with a nil border must match Solve exactly and
+// tolerate b aliasing x.
+func TestSolveBorderedIntoMatchesSolve(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 1 + r.Intn(12)
@@ -222,9 +179,9 @@ func TestTridiagSolveIntoMatchesSolve(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		work := make([]float64, 4*n)
 		x := make([]float64, n)
-		cp := make([]float64, n-1)
-		if err := tri.SolveInto(b, x, cp); err != nil {
+		if err := tri.SolveBorderedInto(nil, b, x, work); err != nil {
 			return false
 		}
 		for i := range x {
@@ -235,7 +192,7 @@ func TestTridiagSolveIntoMatchesSolve(t *testing.T) {
 		// Aliased: solve in place on a copy of b.
 		ali := make([]float64, n)
 		copy(ali, b)
-		if err := tri.SolveInto(ali, ali, cp); err != nil {
+		if err := tri.SolveBorderedInto(nil, ali, ali, work); err != nil {
 			return false
 		}
 		for i := range ali {
@@ -250,52 +207,14 @@ func TestTridiagSolveIntoMatchesSolve(t *testing.T) {
 	}
 }
 
-func TestSolveRankOneIntoMatchesSolveRankOne(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(12)
-		tri := randomDDTridiag(r, n)
-		u := make([]float64, n)
-		v := make([]float64, n)
-		b := make([]float64, n)
-		for i := 0; i < n; i++ {
-			u[i] = r.NormFloat64() * 0.3
-			v[i] = r.NormFloat64() * 0.3
-			b[i] = r.NormFloat64()
-		}
-		want, err := tri.SolveRankOne(u, v, b)
-		if err != nil {
-			return false
-		}
-		x := make([]float64, n)
-		y := make([]float64, n)
-		z := make([]float64, n)
-		cp := make([]float64, n-1)
-		if err := tri.SolveRankOneInto(u, v, b, x, y, z, cp); err != nil {
-			return false
-		}
-		for i := range x {
-			if x[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// The in-place kernels are the QWM Newton hot path: they must not touch the
+// The bordered kernel is the QWM Newton hot path: it must not touch the
 // heap at all.
 func TestSolveIntoZeroAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	const n = 11
 	tri := randomDDTridiag(r, n)
 	u := make([]float64, n)
-	v := make([]float64, n)
 	b := make([]float64, n)
-	v[n-1] = 1
 	for i := 0; i < n-2; i++ {
 		u[i] = r.NormFloat64() * 0.3
 	}
@@ -303,15 +222,13 @@ func TestSolveIntoZeroAllocs(t *testing.T) {
 		b[i] = r.NormFloat64()
 	}
 	x := make([]float64, n)
-	y := make([]float64, n)
-	z := make([]float64, n)
-	cp := make([]float64, n-1)
+	work := make([]float64, 4*n)
 	bad := false
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := tri.SolveInto(b, x, cp); err != nil {
+		if err := tri.SolveBorderedInto(nil, b, x, work); err != nil {
 			bad = true
 		}
-		if err := tri.SolveRankOneInto(u, v, b, x, y, z, cp); err != nil {
+		if err := tri.SolveBorderedInto(u, b, x, work); err != nil {
 			bad = true
 		}
 	})

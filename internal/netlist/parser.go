@@ -22,6 +22,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"qwm/internal/circuit"
 	"qwm/internal/wave"
@@ -115,8 +117,10 @@ func (d *Deck) card(line string, no int) error {
 	return nil
 }
 
-// splitCard tokenizes a card, keeping parenthesized groups (PWL lists)
-// together as single tokens with inner spaces normalized.
+// splitCard tokenizes a card at whitespace and commas, keeping parenthesized
+// groups (PWL lists) together as single tokens with inner spaces normalized.
+// Every Unicode space separates, so a stray carriage return cannot become
+// part of a node name that the writer could not reproduce.
 func splitCard(line string) []string {
 	var out []string
 	depth := 0
@@ -135,7 +139,7 @@ func splitCard(line string) []string {
 		case r == ')':
 			depth--
 			cur.WriteRune(r)
-		case (r == ' ' || r == '\t' || r == ',') && depth == 0:
+		case depth == 0 && isSep(r):
 			flush()
 		default:
 			cur.WriteRune(r)
@@ -143,6 +147,16 @@ func splitCard(line string) []string {
 	}
 	flush()
 	return out
+}
+
+// isSep reports whether r separates card tokens: a comma or any Unicode
+// space. Printable ASCII is tested first because decks are almost all
+// ASCII.
+func isSep(r rune) bool {
+	if r > ' ' && r < utf8.RuneSelf {
+		return r == ','
+	}
+	return unicode.IsSpace(r)
 }
 
 func (d *Deck) mosCard(name string, f []string) error {

@@ -49,11 +49,14 @@ type LevelStartInfo struct {
 }
 
 // QWMStats mirrors the per-evaluation solver statistics the QWM engine
-// reports (qwm.Stats): region count, Newton iterations, dense-LU recoveries
-// after a tridiagonal pivot breakdown, and secant-capacitance re-solves.
+// reports (qwm.Stats): region count, Newton iterations, dense-LU solves, and
+// secant-capacitance re-solves.
 type QWMStats struct {
-	Regions        int
-	NRIters        int
+	Regions int
+	NRIters int
+	// DenseFallbacks counts Newton solves routed through dense LU: every
+	// solve under qwm.Options.UseDenseLU plus injected pivot-breakdown
+	// recoveries. The pivoted O(K) kernel never falls back on its own.
 	DenseFallbacks int
 	CapResolves    int
 }

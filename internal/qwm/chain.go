@@ -7,8 +7,13 @@
 // per node), and the α's plus the region end time τ′ are found by one small
 // Newton solve that matches capacitor currents against the device I/V model
 // at τ′ (paper Eq. 7). The Newton updates exploit the Jacobian's
-// tridiagonal-plus-last-column structure via the Thomas algorithm and the
-// Sherman–Morrison formula (paper §IV-B).
+// tridiagonal-plus-last-column structure in O(K) (paper §IV-B). Where the
+// paper uses the Thomas algorithm plus the Sherman–Morrison formula, this
+// package uses la.Tridiag.SolveBorderedInto, Gaussian elimination with
+// partial pivoting on the bordered matrix: the Jacobian's columns carry
+// mixed units (A/s for α, seconds for τ′), which defeats unpivoted Thomas,
+// and the pivoted kernel computes the same bits as the dense-LU ablation and
+// fault-recovery path.
 //
 // The engine works in "folded" coordinates: a PMOS pull-up path is analyzed
 // as the mathematically identical NMOS-style pull-down of the folded voltage
@@ -66,7 +71,9 @@ func (nc *NodeCap) At(vFolded, vdd float64, chainPol mos.Polarity) float64 {
 // Secant evaluates the effective (charge-based) capacitance over a folded
 // voltage excursion [v1, v2]: ΔQ/ΔV for each junction, which makes the
 // endpoint of a constant-capacitance region exact even though the junction
-// capacitance varies across the region.
+// capacitance varies across the region. The engine evaluates At and Secant
+// over its compiled junction groups (engine.startCap, engine.secantCap);
+// these per-junction forms are their reference.
 func (nc *NodeCap) Secant(v1, v2, vdd float64, chainPol mos.Polarity) float64 {
 	if math.Abs(v2-v1) < 1e-6 {
 		return nc.At(v1, vdd, chainPol)

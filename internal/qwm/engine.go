@@ -2,6 +2,7 @@ package qwm
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"qwm/internal/faultinject"
@@ -18,9 +19,10 @@ type Options struct {
 	FinalFractions []float64
 	// MaxNR bounds Newton iterations per region (default 40).
 	MaxNR int
-	// UseDenseLU replaces the tridiagonal + Sherman–Morrison update with a
-	// dense LU solve — the paper's §IV-B ablation ("tridiagonal method gives
-	// almost twice speedup over LU decomposition").
+	// UseDenseLU replaces the O(K) bordered-tridiagonal update with a dense
+	// LU solve — the paper's §IV-B ablation ("tridiagonal method gives
+	// almost twice speedup over LU decomposition"). The two compute
+	// bit-identical results; only the cost and Stats.DenseFallbacks differ.
 	UseDenseLU bool
 	// Horizon bounds the analysis time span (default 50 ns).
 	Horizon float64
@@ -65,7 +67,7 @@ type Options struct {
 	// nondeterministic; use it as a safety net, not a reproducibility tool.
 	WallBudget time.Duration
 	// Fault, when non-nil, is consulted at the solver's fault-injection
-	// sites (region-solve entry: faultinject.NRDivergence; the tridiagonal
+	// sites (region-solve entry: faultinject.NRDivergence; the bordered
 	// linear solve: faultinject.PivotBreakdown) with FaultKey identifying
 	// this evaluation. Nil costs one pointer check per site.
 	Fault *faultinject.Injector
@@ -97,10 +99,10 @@ func (o *Options) withDefaults(k int) Options {
 
 // Stats is the per-evaluation solver accounting: how many regions the
 // transient decomposed into, the total Newton iterations across every
-// region solve (joint and inner), how often the tridiagonal Thomas sweep
-// hit a near-zero pivot and recovered through the dense-LU workspace, and
-// how many secant-capacitance re-solves ran. All four are counted in the
-// engine's pooled state, so instrumenting an evaluation allocates nothing.
+// region solve (joint and inner), how many Newton updates were solved by
+// dense LU, and how many secant-capacitance re-solves ran. All four are
+// counted in the engine's pooled state, so instrumenting an evaluation
+// allocates nothing.
 type Stats struct {
 	// Regions is the number of committed regions (turn-ons, level
 	// crossings and time-capped subdivisions).
@@ -108,8 +110,11 @@ type Stats struct {
 	// NRIters is the total Newton iterations across all region solves,
 	// including the bisection fallback's inner α solves.
 	NRIters int
-	// DenseFallbacks counts Thomas-pivot breakdowns recovered by the
-	// in-scratch dense LU solve (plus every solve when UseDenseLU is set).
+	// DenseFallbacks counts Newton updates solved by the in-scratch dense
+	// LU: every update when UseDenseLU is set, plus recoveries from an
+	// injected faultinject.PivotBreakdown. The pivoted bordered kernel never
+	// falls back on its own — a matrix it finds singular is singular to
+	// dense LU too — so a default evaluation reports 0.
 	DenseFallbacks int
 	// CapResolves counts secant-capacitance second passes (zero when
 	// FreezeCaps is set).
@@ -238,9 +243,11 @@ func newEngine(ch *Chain, opts Options) (*engine, error) {
 		scr:  scr,
 	}
 	e.v[0], e.cur[0], e.capn[0] = 0, 0, 0
+	scr.compileJunctions(ch)
 	for k := 1; k <= m; k++ {
 		e.v[k] = ch.V0[k-1]
 		e.cur[k], e.capn[k] = 0, 0
+		scr.capV[k] = math.NaN() // nothing evaluated yet
 		e.segs[k-1] = &wave.PWQ{}
 	}
 	if o.WallBudget > 0 {
@@ -426,8 +433,55 @@ func (e *engine) advanceFront() {
 // constant-parasitic-per-region assumption of §III-C.
 func (e *engine) refreshCaps() {
 	for k := 1; k <= e.m; k++ {
-		e.capn[k] = e.ch.Caps[k-1].At(e.v[k], e.ch.VDD, e.ch.Pol)
+		e.capn[k] = e.startCap(k)
 	}
+}
+
+// startCap is NodeCap.At for node k at its current voltage, evaluated over
+// the compiled junction groups. A node whose voltage has not moved since the
+// last call keeps its capacitance; otherwise each group's C and Q are
+// re-evaluated from one Pow pair and cached for secantCap.
+func (e *engine) startCap(k int) float64 {
+	s := e.scr
+	v := e.v[k]
+	if v == s.capV[k] {
+		return s.capC[k]
+	}
+	vn := unfold(v, e.ch.VDD, e.ch.Pol)
+	c := e.ch.Caps[k-1].Fixed
+	for i := s.jgOff[k-1]; i < s.jgOff[k]; i++ {
+		g := &s.jg[i]
+		g.c, g.q = g.p.JunctionCapCharge(g.j, reverseBias(g.p, vn, e.ch.VDD))
+		c += g.c
+	}
+	s.capV[k], s.capC[k] = v, c
+	return c
+}
+
+// secantCap is NodeCap.Secant for node k over [v[k], v2], evaluated over the
+// compiled junction groups: the region-start charge comes from startCap's
+// cache, so each group costs one Pow pair.
+func (e *engine) secantCap(k int, v2 float64) float64 {
+	s := e.scr
+	v1 := e.v[k]
+	c1 := e.startCap(k)
+	if math.Abs(v2-v1) < 1e-6 {
+		return c1
+	}
+	vdd := e.ch.VDD
+	u1, u2 := unfold(v1, vdd, e.ch.Pol), unfold(v2, vdd, e.ch.Pol)
+	c := e.ch.Caps[k-1].Fixed
+	for i := s.jgOff[k-1]; i < s.jgOff[k]; i++ {
+		g := &s.jg[i]
+		r1, r2 := reverseBias(g.p, u1, vdd), reverseBias(g.p, u2, vdd)
+		if math.Abs(r2-r1) < 1e-9 {
+			c += g.c
+			continue
+		}
+		_, q2 := g.p.JunctionCapCharge(g.j, r2)
+		c += math.Abs((q2 - g.q) / (r2 - r1))
+	}
+	return c
 }
 
 // refreshCurrents re-derives the node currents from the device model at the
@@ -529,7 +583,7 @@ func (e *engine) timeCappedRegion(L int, ev event, notFired func(float64) bool, 
 		saved := e.scr.capSaved[:len(e.capn)]
 		copy(saved, e.capn)
 		for k := 1; k <= L; k++ {
-			e.capn[k] = e.ch.Caps[k-1].Secant(e.v[k], e.endVoltage(k, alpha[k-1], durCap), e.ch.VDD, e.ch.Pol)
+			e.capn[k] = e.secantCap(k, e.endVoltage(k, alpha[k-1], durCap))
 		}
 		alpha2 := e.scr.nextAlpha(L)
 		for i := range alpha2 {
@@ -586,7 +640,7 @@ func (e *engine) solveRegionSecant(L int, ev event) (float64, []float64, error) 
 	saved := e.scr.capSaved[:len(e.capn)]
 	copy(saved, e.capn)
 	for k := 1; k <= L; k++ {
-		e.capn[k] = e.ch.Caps[k-1].Secant(e.v[k], e.endVoltage(k, alpha[k-1], delta), e.ch.VDD, e.ch.Pol)
+		e.capn[k] = e.secantCap(k, e.endVoltage(k, alpha[k-1], delta))
 	}
 	tauP2, alpha2, err2 := e.solveRegion(L, ev)
 	if err2 != nil {

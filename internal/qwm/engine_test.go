@@ -166,20 +166,29 @@ func TestEvaluateDelayedInputGateWait(t *testing.T) {
 	}
 }
 
+// TestEvaluateDenseLUMatchesTridiagonal pins the bordered kernel's
+// contract at engine level: the UseDenseLU ablation solves every Newton
+// update by dense LU, and its results must be bit-identical to the O(K)
+// default on the paper's Table I and II workloads and on a junction-free
+// stack. Only the DenseFallbacks counter may differ.
 func TestEvaluateDenseLUMatchesTridiagonal(t *testing.T) {
-	ch := fixedStack(t, 6, 1.5e-6, 8e-15, 0)
-	fast, err := Evaluate(ch, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := Evaluate(ch, Options{UseDenseLU: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, _ := fast.Delay50(0, tech.VDD)
-	ds, _ := slow.Delay50(0, tech.VDD)
-	if !feq(df, ds, 1e-4) {
-		t.Errorf("LU ablation changed the answer: %g vs %g", df, ds)
+	chains := paperChains(t)
+	chains["fixed6"] = fixedStack(t, 6, 1.5e-6, 8e-15, 0)
+	for name, ch := range chains {
+		fast, err := Evaluate(ch, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		slow, err := Evaluate(ch, Options{UseDenseLU: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := diffResults(fast, slow); err != nil {
+			t.Errorf("%s: LU ablation changed the answer: %v", name, err)
+		}
+		if fast.Stats.DenseFallbacks != 0 {
+			t.Errorf("%s: default solve took %d dense fallbacks, want 0", name, fast.Stats.DenseFallbacks)
+		}
 	}
 }
 

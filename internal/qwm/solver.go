@@ -1,18 +1,12 @@
 package qwm
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"qwm/internal/faultinject"
 	"qwm/internal/la"
 )
-
-// errInjectedPivot is the synthetic linear-solve failure raised by the
-// faultinject.PivotBreakdown site; it drives the solver down the same
-// dense-LU recovery path a real near-zero Thomas pivot does.
-var errInjectedPivot = errors.New("faultinject: injected Thomas pivot breakdown")
 
 // event closes a region's algebraic system: the turn-on condition of the
 // next stack transistor (paper Eq. 7, last line) or an output-level crossing
@@ -178,9 +172,9 @@ func (rs *regionSys) norm(F []float64) float64 {
 }
 
 // jacobian fills the tridiagonal band and the out-of-band τ′ column u
-// (paper §IV-B: Â = A + u·vᵀ with v = e_{L+1}), or a dense matrix when the
-// LU ablation is enabled. residual must have been called at x first.
-func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64, dense *la.Matrix) {
+// (paper §IV-B: the bordered matrix T + u·e_Lᵀ). residual must have been
+// called at x first.
+func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64) {
 	e := rs.e
 	L := rs.L
 	delta := x[L] - e.t
@@ -197,10 +191,6 @@ func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64, dense *
 	}
 
 	set := func(r, c int, val float64) {
-		if dense != nil {
-			dense.Set(r, c, val)
-			return
-		}
 		switch {
 		case c == r:
 			tri.Diag[r] = val
@@ -213,19 +203,15 @@ func (rs *regionSys) jacobian(x []float64, tri *la.Tridiag, u []float64, dense *
 			u[r] = val
 		}
 	}
-	if dense != nil {
-		dense.Zero()
-	} else {
-		for i := range u {
-			u[i] = 0
-		}
-		for i := range tri.Diag {
-			tri.Diag[i] = 0
-		}
-		for i := range tri.Sub {
-			tri.Sub[i] = 0
-			tri.Sup[i] = 0
-		}
+	for i := range u {
+		u[i] = 0
+	}
+	for i := range tri.Diag {
+		tri.Diag[i] = 0
+	}
+	for i := range tri.Sub {
+		tri.Sub[i] = 0
+		tri.Sup[i] = 0
 	}
 
 	for k := 1; k <= L; k++ {
@@ -336,10 +322,10 @@ func (e *engine) solveRegion(L int, ev event) (float64, []float64, error) {
 
 // newton runs the damped joint Newton iteration in place on x, returning
 // whether it converged. Every work vector is a view into the engine's
-// pooled scratch, and the linear solve uses the in-place Thomas +
-// Sherman–Morrison kernels; both the dense-LU ablation and the rare
-// Thomas-breakdown recovery solve through the scratch's dense workspace, so
-// an iteration performs zero heap allocations on every path.
+// pooled scratch and the linear solve is the in-place pivoted bordered
+// kernel; the dense-LU ablation and the injected-fault recovery solve
+// through the scratch's dense workspace, so an iteration performs zero heap
+// allocations on every path.
 func (rs *regionSys) newton(x []float64, maxIter int, dense bool) bool {
 	e := rs.e
 	L := rs.L
@@ -352,15 +338,6 @@ func (rs *regionSys) newton(x []float64, maxIter int, dense bool) bool {
 
 	tri := s.triN(L + 1)
 	u := s.u[:L+1]
-	v := s.vcol[:L+1]
-	for i := range v {
-		v[i] = 0
-	}
-	v[L] = 1
-	var dm *la.Matrix
-	if dense {
-		dm = s.denseN(L + 1)
-	}
 	neg := s.neg[:L+1]
 	trial := s.trial[:L+1]
 	Ftrial := s.Ftrial[:L+1]
@@ -376,35 +353,24 @@ func (rs *regionSys) newton(x []float64, maxIter int, dense bool) bool {
 		if fn <= tol {
 			return true
 		}
-		rs.jacobian(x, tri, u, dm)
+		rs.jacobian(x, tri, u)
 		for i, f := range F {
 			neg[i] = -f
 		}
 		var err error
-		if dense {
+		// Fault site: a synthetic pivot breakdown detours through the
+		// in-scratch dense LU. The bordered kernel performs exactly the
+		// dense solve's floating-point operations, so the detour must never
+		// change results — only the DenseFallbacks counter. A matrix the
+		// kernel finds singular is singular to dense LU too, so a real
+		// breakdown needs no fallback.
+		if dense || e.o.Fault.Fire(faultinject.PivotBreakdown, e.o.FaultKey) {
 			e.res.Stats.DenseFallbacks++
-			err = la.SolveDenseInto(dm, neg, dx, s.luN(L+1), s.piv[:L+1])
+			full := s.denseN(L + 1)
+			tri.BorderedDenseInto(u, full)
+			err = la.SolveDenseInto(full, neg, dx, s.luN(L+1), s.piv[:L+1])
 		} else {
-			// Fault site: a synthetic near-zero Thomas pivot exercises the
-			// same in-scratch dense-LU recovery a real breakdown does; the
-			// iteration then proceeds normally, so this fault must never
-			// change results — only the DenseFallbacks counter.
-			if e.o.Fault.Fire(faultinject.PivotBreakdown, e.o.FaultKey) {
-				err = errInjectedPivot
-			} else {
-				err = tri.SolveRankOneInto(u, v, neg, dx, s.y[:L+1], s.z[:L+1], s.cp[:L])
-			}
-			if err != nil {
-				// Thomas pivot breakdown: recover via a dense LU solve
-				// through the scratch workspace (no allocation).
-				e.res.Stats.DenseFallbacks++
-				full := s.denseN(L + 1)
-				tri.DenseInto(full)
-				for r := 0; r <= L; r++ {
-					full.Add(r, L, u[r])
-				}
-				err = la.SolveDenseInto(full, neg, dx, s.luN(L+1), s.piv[:L+1])
-			}
+			err = tri.SolveBorderedInto(u, neg, dx, s.work[:4*(L+1)])
 		}
 		if err != nil {
 			return false
@@ -471,23 +437,15 @@ func (rs *regionSys) solveAlphas(alpha []float64, tauP float64, maxIter int) (fl
 			copy(alpha, x[:L])
 			return F[L], true
 		}
-		rs.jacobian(x, tri, u, nil)
-		// Restrict to the leading L×L block: dropping the event row and the
-		// τ′ column (which occupies Sup[L-1] in the full band).
+		rs.jacobian(x, tri, u)
+		// Restrict to the leading L×L block, dropping the event row and the
+		// τ′ column (which occupies Sup[L-1] in the full band), and solve it
+		// with the bordered kernel and no border.
 		inner := s.innerN(L)
-		copy(inner.Diag, tri.Diag[:L])
-		if L > 1 {
-			copy(inner.Sub, tri.Sub[:L-1])
-			copy(inner.Sup, tri.Sup[:L-1])
-		}
 		for i := 0; i < L; i++ {
 			neg[i] = -F[i]
 		}
-		var cp []float64
-		if L > 1 {
-			cp = s.cp[:L-1]
-		}
-		if err := inner.SolveInto(neg, dx, cp); err != nil {
+		if err := inner.SolveBorderedInto(nil, neg, dx, s.work[:4*L]); err != nil {
 			return 0, false
 		}
 		lambda := 1.0

@@ -62,8 +62,14 @@ type Config struct {
 // FaultPlan (chaos runs must use dedicated analyzers anyway — see
 // Request.Fault), and Tier itself (a cache tier stores results, it does not
 // define them).
+//
+// The leading engine version names the solver's arithmetic. It changes
+// whenever the engine's bits do, so that disk and remote tiers written by an
+// older engine key apart instead of mixing into new answers: qwm2 is the
+// pivoted bordered-tridiagonal Newton solve with grouped junction
+// capacitances.
 func (c Config) Signature() string {
-	return fmt.Sprintf("qwm1|red:%s|memo:%s|nr:%d|wallns:%d",
+	return fmt.Sprintf("qwm2|red:%s|memo:%s|nr:%d|wallns:%d",
 		c.Reduction.Signature(), c.Memo.Signature(), c.Budget.NRIters, c.Budget.Wall.Nanoseconds())
 }
 

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -21,6 +22,13 @@ func TestConfigSignature(t *testing.T) {
 		"interp": {Memo: MemoConfig{Enabled: true, Interp: true}},
 		"budget": {Budget: EvalBudget{NRIters: 100}},
 		"wall":   {Budget: EvalBudget{Wall: time.Millisecond}},
+	}
+	// The engine-version prefix keys persistent tiers apart across solver
+	// changes: entries written by an engine with different arithmetic must
+	// never answer for this one. Bump it (and this pin) whenever the QWM
+	// engine's result bits change.
+	if sig := base.Signature(); !strings.HasPrefix(sig, "qwm2|") {
+		t.Errorf("signature %q lacks the qwm2 engine-version prefix", sig)
 	}
 	seen := map[string]string{}
 	for label, c := range distinct {

@@ -15,7 +15,10 @@ import (
 // obs.Snapshot.Deterministic(); everything else is bit-for-bit identical at
 // any Workers setting (single-flight caching makes the set of computed keys,
 // and therefore every counter and histogram below, independent of the
-// schedule).
+// schedule). sta/qwm_dense_fallbacks sums qwm.Stats.DenseFallbacks: Newton
+// updates solved by dense LU, which happens only under the UseDenseLU
+// ablation or an injected pivot breakdown, so production traffic keeps it at
+// zero.
 const (
 	mAnalyzes       = "sta/analyzes"
 	mCancelled      = "sta/cancelled"
