@@ -71,11 +71,14 @@ service-smoke:
 
 # One-iteration smoke of the perf-critical benchmarks: the parallel STA
 # engine at every worker width, the in-place linear-solver kernels, the
-# observability-overhead comparison (bare vs observer vs metrics), and the
-# hot-path wide-netlist benchmark (reduction+memo off vs on).
+# observability-overhead comparison (bare vs observer vs metrics), the
+# hot-path wide-netlist benchmark (reduction+memo off vs on), and the
+# request front end: per-layer decode/parse/extract/preflight on the 6-bit
+# decoder and 16x24 wide decks, plus the warmed in-process POST /analyze.
 bench:
 	$(GO) test -run '^$$' -bench 'STAParallel|SolverKernels' -benchtime 1x -benchmem .
-	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/
+	$(GO) test -run '^$$' -bench 'AnalyzeObserved|WarmCacheLookup|STAWide|AnalyzeIncremental|FrontEnd' -benchtime 1x -benchmem ./internal/sta/
+	$(GO) test -run '^$$' -bench 'FrontEnd|ServiceWarm$$' -benchtime 1x -benchmem ./internal/service/
 
 # Full benchmark sweep (regenerates every table/figure; slow).
 bench-full:
@@ -87,8 +90,8 @@ bench-full:
 # benchstat-compatible JSON at the repo root, stamped with today's date.
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'STAParallel' -benchtime 1x -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'WarmCacheLookup|AnalyzeObserved|STAWide|AnalyzeIncremental' -benchtime 1x -benchmem ./internal/sta/ ; \
-	  $(GO) test -run '^$$' -bench 'ServiceWarmDisk' -benchtime 1x -benchmem ./internal/service/ ; } \
+	  $(GO) test -run '^$$' -bench 'WarmCacheLookup|AnalyzeObserved|STAWide|AnalyzeIncremental|FrontEnd' -benchtime 1x -benchmem ./internal/sta/ ; \
+	  $(GO) test -run '^$$' -bench 'ServiceWarmDisk|FrontEnd|ServiceWarm$$' -benchtime 1x -benchmem ./internal/service/ ; } \
 	| $(GO) run ./cmd/benchjson -o BENCH_$$(date +%F).json
 
 # Advisory benchmark regression report between the two most recent dated
@@ -167,10 +170,14 @@ remote-chaos:
 	$(GO) run ./cmd/verify -remote -o /dev/null
 
 # Fuzz smoke: each fuzz target runs for 10 s — the
-# bordered-tridiagonal kernel's bit-identity with dense LU, and the deck
-# parser's card and value decoders. A failing input is saved under the
-# package's testdata/fuzz and replayed by every later `go test`.
+# bordered-tridiagonal kernel's bit-identity with dense LU, the deck
+# parser's card and value decoders (with the tokenizer differential), stage
+# extraction against its string-keyed reference, and the POST /analyze
+# envelope decoder against the two-pass reference. A failing input is saved
+# under the package's testdata/fuzz and replayed by every later `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveBordered$$' -fuzztime 10s ./internal/la/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseValue$$' -fuzztime 10s ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzExtractStages$$' -fuzztime 10s ./internal/circuit/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 10s ./internal/service/

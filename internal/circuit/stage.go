@@ -1,8 +1,9 @@
 package circuit
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 )
 
 // Stage is the paper's Definition 1: a CMOS logic stage as a polar directed
@@ -36,159 +37,221 @@ type StageEdge struct {
 // components the same way wires do. Gate terminals do NOT connect stages —
 // that is the partition boundary that makes per-stage analysis possible.
 //
-// driven lists nets driven by sources (rails and primary inputs); they act
-// as partition boundaries like rails. Outputs of each stage are the nodes
-// that appear as gate inputs of some *other* component or are listed in
-// observed.
+// Nets driven by sources (rails and primary inputs) act as partition
+// boundaries like rails. Outputs of each stage are the nodes that appear as
+// gate inputs of some transistor or are listed in observed. Stages are
+// ordered by their smallest node name and named stage0, stage1, ...; each
+// stage's edges keep netlist order (transistors, then resistors).
+//
+// Node names are looked up once, in one map from name to a dense id;
+// everything else — union-find, boundary and gate-net flags, group
+// membership — is a slice indexed by that id, and one sort of the channel
+// nodes by name yields every stage's sorted Nodes and the stage order.
 func ExtractStages(n *Netlist, observed []string) []*Stage {
-	isBoundary := map[string]bool{GroundNode: true, SupplyNode: true}
-	for _, v := range n.VSources {
-		isBoundary[v.A] = true
-	}
-
-	// Union-find over non-boundary nodes touched by channel terminals.
-	parent := map[string]string{}
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
+	nt, nr := len(n.Transistors), len(n.Resistors)
+	hint := nt + nr + len(n.VSources) + 2
+	ids, names := make(map[string]int32, hint), make([]string, 0, hint)
+	intern := func(name string) int32 {
+		v, ok := ids[name]
 		if !ok {
-			parent[x] = x
-			return x
+			v = int32(len(names))
+			ids[name] = v
+			names = append(names, name)
 		}
-		if p != x {
-			parent[x] = find(p)
+		return v
+	}
+	intern(GroundNode)
+	intern(SupplyNode)
+	for _, v := range n.VSources {
+		intern(v.A)
+	}
+	// Everything named so far is a boundary; ids are handed out in order.
+	nBoundary := int32(len(names))
+
+	// Channel terminals of every element (transistors first) and gates.
+	ends := make([]int32, 2*(nt+nr))
+	gates := make([]int32, nt)
+	for i, t := range n.Transistors {
+		ends[2*i], ends[2*i+1], gates[i] = intern(t.Drain), intern(t.Source), intern(t.Gate)
+	}
+	for i, r := range n.Resistors {
+		ends[2*(nt+i)], ends[2*(nt+i)+1] = intern(r.A), intern(r.B)
+	}
+	boundary := func(id int32) bool { return id < nBoundary }
+
+	// Per-node facts, indexed by id: union-find parent, the group of a
+	// union-find root, whether a channel terminal touches the node, and
+	// whether it is an output (a gate net or an observed name).
+	const none = -1
+	node := make([]struct {
+		parent, group  int32
+		channel, isOut bool
+	}, len(names))
+	for i := range node {
+		node[i].parent, node[i].group = int32(i), none
+	}
+	find := func(a int32) int32 {
+		for node[a].parent != a {
+			node[a].parent = node[node[a].parent].parent
+			a = node[a].parent
 		}
-		return parent[x]
+		return a
 	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
+	for e := 0; e < len(ends); e += 2 {
+		a, b := ends[e], ends[e+1]
+		node[a].channel, node[b].channel = true, true
+		if !boundary(a) && !boundary(b) {
+			if ra, rb := find(a), find(b); ra != rb {
+				node[ra].parent = rb
+			}
 		}
 	}
-	connect := func(a, b string) {
-		switch {
-		case isBoundary[a] && isBoundary[b]:
-		case isBoundary[a]:
-			find(b)
-		case isBoundary[b]:
-			find(a)
-		default:
-			union(a, b)
+	for _, g := range gates {
+		node[g].isOut = true
+	}
+	for _, o := range observed {
+		if v, ok := ids[CanonName(o)]; ok {
+			node[v].isOut = true
 		}
-	}
-	for _, t := range n.Transistors {
-		connect(t.Drain, t.Source)
-	}
-	for _, r := range n.Resistors {
-		connect(r.A, r.B)
 	}
 
-	// Group elements by the component of their non-boundary terminals.
-	groups := map[string]*group{}
-	groupOf := func(nodes ...string) *group {
-		for _, nd := range nodes {
-			if !isBoundary[nd] {
-				root := find(nd)
-				g := groups[root]
-				if g == nil {
-					g = &group{nodes: map[string]bool{}}
-					groups[root] = g
-				}
-				return g
-			}
+	// Group elements by the component of their first non-boundary channel
+	// terminal; elements with both ends on boundaries belong to no stage.
+	elemGroup := make([]int32, nt+nr)
+	ng := int32(0)
+	for e := range elemGroup {
+		nd := ends[2*e]
+		if boundary(nd) {
+			nd = ends[2*e+1]
 		}
-		return nil
-	}
-	addNodes := func(g *group, nodes ...string) {
-		for _, nd := range nodes {
-			if !isBoundary[nd] {
-				g.nodes[nd] = true
-			}
-		}
-	}
-	for _, t := range n.Transistors {
-		g := groupOf(t.Drain, t.Source)
-		if g == nil {
-			continue // degenerate: both channel terminals on rails
-		}
-		addNodes(g, t.Drain, t.Source)
-		kind := t.Kind
-		g.edges = append(g.edges, &StageEdge{
-			Kind: kind, Src: t.Drain, Snk: t.Source, Gate: t.Gate,
-			W: t.W, L: t.L, Ref: t,
-		})
-	}
-	for _, r := range n.Resistors {
-		g := groupOf(r.A, r.B)
-		if g == nil {
+		if boundary(nd) {
+			elemGroup[e] = none
 			continue
 		}
-		addNodes(g, r.A, r.B)
-		g.edges = append(g.edges, &StageEdge{Kind: KindWire, Src: r.A, Snk: r.B, R: r.R})
-	}
-
-	// Which nodes feed gates elsewhere? Those are implicit outputs.
-	gateNets := map[string]bool{}
-	for _, t := range n.Transistors {
-		gateNets[t.Gate] = true
-	}
-	obs := map[string]bool{}
-	for _, o := range observed {
-		obs[CanonName(o)] = true
-	}
-
-	// Deterministic ordering of stages by their smallest node name.
-	roots := make([]string, 0, len(groups))
-	for root := range groups {
-		roots = append(roots, root)
-	}
-	sort.Slice(roots, func(i, j int) bool {
-		return groups[roots[i]].min() < groups[roots[j]].min()
-	})
-
-	var stages []*Stage
-	for si, root := range roots {
-		g := groups[root]
-		st := &Stage{Name: fmt.Sprintf("stage%d", si)}
-		for nd := range g.nodes {
-			st.Nodes = append(st.Nodes, nd)
+		r := find(nd)
+		if node[r].group == none {
+			node[r].group = ng
+			ng++
 		}
-		sort.Strings(st.Nodes)
-		st.Edges = g.edges
-		inSet := map[string]bool{}
-		for _, e := range g.edges {
-			if e.Gate != "" {
-				inSet[e.Gate] = true
+		elemGroup[e] = node[r].group
+	}
+	if ng == 0 {
+		return nil
+	}
+
+	// Stage order and sorted Nodes from one sort of the channel nodes: a
+	// group's first node in name order is its smallest, so groups take
+	// their stage index in order of first appearance.
+	nodes := make([]int32, 0, len(node)-int(nBoundary))
+	for id := nBoundary; id < int32(len(node)); id++ {
+		if node[id].channel {
+			nodes = append(nodes, id)
+		}
+	}
+	slices.SortFunc(nodes, func(a, b int32) int { return strings.Compare(names[a], names[b]) })
+	stageOf := make([]int32, ng)
+	for i := range stageOf {
+		stageOf[i] = none
+	}
+	// Per-stage counts size every slice exactly: nodes and outputs from the
+	// sorted node walk, edges and non-empty gates from the elements.
+	count := make([]struct{ nodes, outs, edges, gates, nameEnd int }, ng)
+	next := int32(0)
+	for _, id := range nodes {
+		g := node[find(id)].group
+		if stageOf[g] == none {
+			stageOf[g] = next
+			next++
+		}
+		c := &count[stageOf[g]]
+		c.nodes++
+		if node[id].isOut {
+			c.outs++
+		}
+	}
+	for e, g := range elemGroup {
+		if g == none {
+			continue
+		}
+		elemGroup[e] = stageOf[g] // from here on, the element's stage
+		c := &count[stageOf[g]]
+		c.edges++
+		if e < nt && n.Transistors[e].Gate != "" {
+			c.gates++
+		}
+	}
+
+	// One backing array each for stages, names and edges, carved into
+	// per-stage slices with capped capacity. A stage with no outputs or no
+	// gate inputs keeps a nil slice.
+	nstr, nedge := 0, 0
+	for _, c := range count {
+		nstr += c.nodes + c.outs + c.gates
+		nedge += c.edges
+	}
+	slab := make([]Stage, ng)
+	stages := make([]*Stage, ng)
+	strs := make([]string, 0, nstr)
+	edgePtrs := make([]*StageEdge, 0, nedge)
+	// Stage names are substrings of one "stage0stage1…" string.
+	nameBuf := make([]byte, 0, int(ng)*len("stage0000"))
+	for si := range count {
+		nameBuf = strconv.AppendInt(append(nameBuf, "stage"...), int64(si), 10)
+		count[si].nameEnd = len(nameBuf)
+	}
+	stageNames, nameStart := string(nameBuf), 0
+	for si := range slab {
+		st, c := &slab[si], count[si]
+		stages[si] = st
+		st.Name, nameStart = stageNames[nameStart:c.nameEnd], c.nameEnd
+		st.Nodes, strs = carve(strs, c.nodes)
+		st.Outputs, strs = carve(strs, c.outs)
+		st.Inputs, strs = carve(strs, c.gates)
+		st.Edges, edgePtrs = carve(edgePtrs, c.edges)
+	}
+	for _, id := range nodes {
+		st := &slab[stageOf[node[find(id)].group]]
+		st.Nodes = append(st.Nodes, names[id])
+		if node[id].isOut {
+			st.Outputs = append(st.Outputs, names[id])
+		}
+	}
+	edges := make([]StageEdge, 0, nedge)
+	for e, si := range elemGroup {
+		if si == none {
+			continue
+		}
+		st := &slab[si]
+		if e < nt {
+			t := n.Transistors[e]
+			edges = append(edges, StageEdge{
+				Kind: t.Kind, Src: t.Drain, Snk: t.Source, Gate: t.Gate,
+				W: t.W, L: t.L, Ref: t,
+			})
+			if t.Gate != "" {
+				st.Inputs = append(st.Inputs, t.Gate)
 			}
+		} else {
+			r := n.Resistors[e-nt]
+			edges = append(edges, StageEdge{Kind: KindWire, Src: r.A, Snk: r.B, R: r.R})
 		}
-		for in := range inSet {
-			st.Inputs = append(st.Inputs, in)
-		}
-		sort.Strings(st.Inputs)
-		for _, nd := range st.Nodes {
-			if gateNets[nd] || obs[nd] {
-				st.Outputs = append(st.Outputs, nd)
-			}
-		}
-		stages = append(stages, st)
+		st.Edges = append(st.Edges, &edges[len(edges)-1])
+	}
+	// Inputs: each stage's distinct gate nets, sorted.
+	for si := range slab {
+		st := &slab[si]
+		slices.Sort(st.Inputs)
+		st.Inputs = slices.Compact(st.Inputs)
 	}
 	return stages
 }
 
-// group accumulates the nodes and edges of one channel-connected component
-// during stage extraction.
-type group struct {
-	nodes map[string]bool
-	edges []*StageEdge
-}
-
-func (g *group) min() string {
-	first := ""
-	for nd := range g.nodes {
-		if first == "" || nd < first {
-			first = nd
-		}
+// carve returns an empty slice over the next k free slots of buf's spare
+// capacity, capacity capped at k, and buf grown over them; nil when k is 0.
+func carve[T any](buf []T, k int) (part, rest []T) {
+	if k == 0 {
+		return nil, buf
 	}
-	return first
+	n := len(buf)
+	return buf[n : n : n+k], buf[:n+k]
 }

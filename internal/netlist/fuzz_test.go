@@ -36,14 +36,23 @@ func FuzzParseValue(f *testing.F) {
 }
 
 // FuzzParse: arbitrary decks must either parse or error — never panic — and
-// whatever parses must survive a Format/Parse round trip.
+// whatever parses must survive a Format/Parse round trip. Every line of the
+// deck, and the deck as one line, must also tokenize exactly as the
+// rune-at-a-time reference tokenizer does.
 func FuzzParse(f *testing.F) {
 	f.Add(nandDeck)
 	f.Add("t\nR1 a 0 1k\n.end\n")
 	f.Add("t\nV1 a 0 PWL(0 0 1p 3.3)\nM1 b a 0 0 NMOS W=1u L=1u\n")
 	f.Add("\n\n+ continuation without a card\n")
 	f.Add("t\n.ic V(x)=1 V(y)=2\n.tran 1p 1n\n")
+	f.Add("t\nR\xff1 a\xfe 0 1k\nC1 a\u00a0b\u2003 1f\n")
+	f.Add("t\nV1 a 0 PWL((0 0) (1p 3.3))\nR1 a) (b 1k\n")
+	f.Add("t\nm1 A b C 0 nMoS w=1U l=1U\n.\u0130c V(a)=1\n")
 	f.Fuzz(func(t *testing.T, deck string) {
+		checkSplitCard(t, deck)
+		for _, line := range strings.Split(deck, "\n") {
+			checkSplitCard(t, line)
+		}
 		d, err := ParseString(deck)
 		if err != nil {
 			return

@@ -18,6 +18,7 @@ package netlist
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -40,40 +41,45 @@ type Deck struct {
 }
 
 // Parse reads a deck from r.
+//
+// The per-card cost is one string per card line: tokens are substrings of
+// that line (so the Deck's names pin their card's text, never the whole
+// input), and one token slice is reused across cards.
 func Parse(r io.Reader) (*Deck, error) {
 	d := &Deck{Netlist: &circuit.Netlist{}, IC: map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	first := true
 	var prev string
+	var toks []string
 	flush := func(line string, no int) error {
 		if line == "" {
 			return nil
 		}
-		return d.card(line, no)
+		toks = splitCard(toks, line)
+		return d.card(toks, no)
 	}
 	for sc.Scan() {
 		lineNo++
-		raw := strings.TrimRight(sc.Text(), " \t\r")
-		trimmed := strings.TrimSpace(raw)
+		trimmed := bytes.TrimSpace(sc.Bytes())
 		if first {
 			// SPICE convention: the first line is always the title.
-			d.Title = trimmed
+			d.Title = string(trimmed)
 			first = false
 			continue
 		}
-		if trimmed == "" || strings.HasPrefix(trimmed, "*") {
+		if len(trimmed) == 0 || trimmed[0] == '*' {
 			continue
 		}
 		// '+' continuation lines extend the previous card.
-		if strings.HasPrefix(trimmed, "+") {
-			prev += " " + strings.TrimSpace(trimmed[1:])
+		if trimmed[0] == '+' {
+			prev += " " + string(bytes.TrimSpace(trimmed[1:]))
 			continue
 		}
 		if err := flush(prev, lineNo-1); err != nil {
 			return nil, err
 		}
-		prev = trimmed
+		prev = string(trimmed)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -90,14 +96,13 @@ func Parse(r io.Reader) (*Deck, error) {
 // ParseString parses a deck held in a string.
 func ParseString(s string) (*Deck, error) { return Parse(strings.NewReader(s)) }
 
-func (d *Deck) card(line string, no int) error {
-	fields := splitCard(line)
+func (d *Deck) card(fields []string, no int) error {
 	if len(fields) == 0 {
 		return nil
 	}
 	name := fields[0]
 	var err error
-	switch strings.ToLower(name)[0] {
+	switch lowerASCII(name[0]) {
 	case 'm':
 		err = d.mosCard(name, fields[1:])
 	case 'r':
@@ -107,6 +112,7 @@ func (d *Deck) card(line string, no int) error {
 	case 'v':
 		err = d.vCard(name, fields[1:])
 	case '.':
+		// Unicode lower-casing on purpose: it makes ".İc" an .ic card.
 		err = d.dotCard(strings.ToLower(name), fields[1:])
 	default:
 		err = fmt.Errorf("unsupported card %q", name)
@@ -117,46 +123,91 @@ func (d *Deck) card(line string, no int) error {
 	return nil
 }
 
-// splitCard tokenizes a card at whitespace and commas, keeping parenthesized
-// groups (PWL lists) together as single tokens with inner spaces normalized.
-// Every Unicode space separates, so a stray carriage return cannot become
-// part of a node name that the writer could not reproduce.
-func splitCard(line string) []string {
-	var out []string
-	depth := 0
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+// splitCard tokenizes a card into dst[:0] at whitespace and commas, keeping
+// parenthesized groups (PWL lists) together as single tokens, separators
+// and all. Every Unicode space separates, so a stray carriage return cannot
+// become part of a node name that the writer could not reproduce. Tokens
+// are substrings of line; a token holding invalid UTF-8 is rebuilt with one
+// U+FFFD per invalid byte, so names are always valid UTF-8.
+func splitCard(dst []string, line string) []string {
+	out := dst[:0]
+	depth, start, bad := 0, -1, false
+	for i := 0; i < len(line); {
+		c, w, sep := line[i], 1, false
+		if c < utf8.RuneSelf {
+			switch c {
+			case '(':
+				depth++
+			case ')':
+				depth--
+			default:
+				sep = depth == 0 && asciiSep[c]
+			}
+		} else {
+			var r rune
+			r, w = utf8.DecodeRuneInString(line[i:])
+			if r == utf8.RuneError && w == 1 {
+				bad = true
+			} else {
+				sep = depth == 0 && unicode.IsSpace(r)
+			}
 		}
-	}
-	for _, r := range line {
 		switch {
-		case r == '(':
-			depth++
-			cur.WriteRune(r)
-		case r == ')':
-			depth--
-			cur.WriteRune(r)
-		case depth == 0 && isSep(r):
-			flush()
-		default:
-			cur.WriteRune(r)
+		case sep && start >= 0:
+			out = append(out, token(line[start:i], bad))
+			start, bad = -1, false
+		case !sep && start < 0:
+			start = i
 		}
+		i += w
 	}
-	flush()
+	if start >= 0 {
+		out = append(out, token(line[start:], bad))
+	}
 	return out
 }
 
-// isSep reports whether r separates card tokens: a comma or any Unicode
-// space. Printable ASCII is tested first because decks are almost all
-// ASCII.
-func isSep(r rune) bool {
-	if r > ' ' && r < utf8.RuneSelf {
-		return r == ','
+// asciiSep marks the ASCII card separators: the comma and the ASCII spaces
+// of unicode.IsSpace.
+var asciiSep = [utf8.RuneSelf]bool{',': true, ' ': true, '\t': true, '\n': true, '\v': true, '\f': true, '\r': true}
+
+// token returns tok, or, when it holds invalid UTF-8, a copy with each
+// invalid byte replaced by U+FFFD (what ranging over it yields).
+func token(tok string, bad bool) string {
+	if !bad {
+		return tok
 	}
-	return unicode.IsSpace(r)
+	var b strings.Builder
+	for _, r := range tok {
+		b.WriteRune(r)
+	}
+	return b.String()
+}
+
+// lowerASCII folds an ASCII upper-case letter and leaves every other byte
+// alone. Card letters, device types and parameter keys fold this way: no
+// non-ASCII rune lower-cases to one of their letters, so the result matches
+// strings.ToLower without allocating.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// equalFoldASCII reports whether s equals the lower-case ASCII word lower
+// under ASCII-only case folding. Unlike strings.EqualFold it does not fold
+// 'ſ' to 's' or the Kelvin sign to 'k'.
+func equalFoldASCII(s, lower string) bool {
+	if len(s) != len(lower) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if lowerASCII(s[i]) != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func (d *Deck) mosCard(name string, f []string) error {
@@ -164,10 +215,10 @@ func (d *Deck) mosCard(name string, f []string) error {
 		return fmt.Errorf("%s: MOSFET needs d g s b type", name)
 	}
 	kind := circuit.KindNMOS
-	switch strings.ToLower(f[4]) {
-	case "nmos", "n":
+	switch typ := f[4]; {
+	case equalFoldASCII(typ, "nmos"), equalFoldASCII(typ, "n"):
 		kind = circuit.KindNMOS
-	case "pmos", "p":
+	case equalFoldASCII(typ, "pmos"), equalFoldASCII(typ, "p"):
 		kind = circuit.KindPMOS
 	default:
 		return fmt.Errorf("%s: unknown device type %q", name, f[4])
@@ -185,18 +236,18 @@ func (d *Deck) mosCard(name string, f []string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		switch strings.ToLower(key) {
-		case "w":
+		switch {
+		case equalFoldASCII(key, "w"):
 			t.W = x
-		case "l":
+		case equalFoldASCII(key, "l"):
 			t.L = x
-		case "ad":
+		case equalFoldASCII(key, "ad"):
 			t.DrainJunc.Area = x
-		case "pd":
+		case equalFoldASCII(key, "pd"):
 			t.DrainJunc.Perim = x
-		case "as":
+		case equalFoldASCII(key, "as"):
 			t.SourceJunc.Area = x
-		case "ps":
+		case equalFoldASCII(key, "ps"):
 			t.SourceJunc.Perim = x
 		default:
 			return fmt.Errorf("%s: unknown parameter %q", name, key)

@@ -32,8 +32,9 @@ func chainAllOn(t testing.TB, k int, w, cl float64) *Chain {
 
 // TestNewtonZeroAllocs pins the tentpole guarantee: once the engine's
 // scratch is warm, one full joint Newton solve of a region — residuals,
-// Jacobian assembly, Thomas + Sherman–Morrison update, damped line search —
-// performs zero heap allocations per iteration.
+// Jacobian assembly, the pivoted bordered-tridiagonal update
+// (la.Tridiag.SolveBorderedInto), damped line search — performs zero heap
+// allocations per iteration.
 func TestNewtonZeroAllocs(t *testing.T) {
 	ch := chainAllOn(t, 4, 1e-6, 6e-15)
 	e, err := newEngine(ch, Options{})

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -93,25 +95,14 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			v1.ErrorResponse("", v1.CodeInvalidRequest, "request body too large"))
 		return
 	}
-	// A batch is detected by the presence of the "requests" key; anything
-	// else is a single AnalyzeRequest.
-	var probe struct {
-		Requests []json.RawMessage `json:"requests"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
+	req, breq, err := decodeEnvelope(body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest,
 			v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
 		return
 	}
-	if probe.Requests != nil {
-		s.handleBatch(w, r, body)
-		return
-	}
-
-	var req v1.AnalyzeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
+	if breq != nil {
+		s.handleBatch(w, r, breq)
 		return
 	}
 	s.mRequests.Inc()
@@ -128,13 +119,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, httpStatus(resp), resp)
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte) {
-	var breq v1.BatchRequest
-	if err := json.Unmarshal(body, &breq); err != nil {
-		writeJSON(w, http.StatusBadRequest,
-			v1.ErrorResponse("", v1.CodeInvalidRequest, "malformed JSON: "+err.Error()))
-		return
-	}
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, breq *v1.BatchRequest) {
 	if err := v1.Validate(breq.SchemaVersion); err != nil {
 		writeJSON(w, http.StatusBadRequest,
 			v1.ErrorResponse(breq.ID, v1.CodeInvalidRequest, err.Error()))
@@ -188,6 +173,68 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, body []byte
 	bresp := batchResponse(b)
 	bresp.TraceID = obs.TraceIDFrom(r.Context())
 	writeJSON(w, http.StatusOK, bresp)
+}
+
+// envelope is the single decode target of a POST /analyze body: the fields
+// of one AnalyzeRequest plus a batch's "async" and "requests". A body whose
+// "requests" holds an array (even an empty one) is a batch; anything else,
+// "requests": null included, is a single request.
+type envelope struct {
+	v1.AnalyzeRequest
+	Async    batchField[bool] `json:"async"`
+	Requests requestsField    `json:"requests"`
+}
+
+// batchField holds a batch-only field whose type error is deferred until
+// the body is known to be a batch: a single request ignores "async", and
+// the elements of a "requests" array that a later null replaced, however
+// ill-typed they are.
+type batchField[T any] struct {
+	v   T
+	err error
+}
+
+func (f *batchField[T]) UnmarshalJSON(b []byte) error {
+	if err := json.Unmarshal(b, &f.v); err != nil && f.err == nil {
+		f.err = err
+	}
+	return nil
+}
+
+// requestsField is the "requests" list. A value that is neither an array
+// nor null fails every body, single or batch.
+type requestsField struct {
+	batchField[[]v1.AnalyzeRequest]
+}
+
+func (f *requestsField) UnmarshalJSON(b []byte) error {
+	if b[0] != '[' && b[0] != 'n' {
+		return errors.New(`json: "requests" must be an array or null`)
+	}
+	return f.batchField.UnmarshalJSON(b)
+}
+
+// decodeEnvelope decodes a POST /analyze body in one pass. It returns the
+// batch when the body is one, else the single request. A batch also fails
+// on an ill-typed single-request field at its top level (say "outputs": 5),
+// since the whole body is one value.
+func decodeEnvelope(body []byte) (v1.AnalyzeRequest, *v1.BatchRequest, error) {
+	var env envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return v1.AnalyzeRequest{}, nil, err
+	}
+	if env.Requests.v == nil {
+		return env.AnalyzeRequest, nil, nil
+	}
+	if err := cmp.Or(env.Requests.err, env.Async.err); err != nil {
+		return v1.AnalyzeRequest{}, nil, err
+	}
+	return v1.AnalyzeRequest{}, &v1.BatchRequest{
+		SchemaVersion: env.SchemaVersion,
+		ID:            env.ID,
+		Async:         env.Async.v,
+		Requests:      env.Requests.v,
+	}, nil
 }
 
 // batchResponse renders a COMPLETED batch.

@@ -129,13 +129,17 @@ func (a *Analyzer) putScratch(s *analyzeScratch) {
 	s.levelBuf = s.levelBuf[:0]
 	clear(s.levels)
 	s.levels = s.levels[:0]
-	for i := range s.items {
-		kb := s.items[i].keyBuf
-		s.items[i] = workItem{keyBuf: kb[:0]}
+	// The per-level slabs are cleared to capacity, not length: a level
+	// smaller than an earlier one leaves that level's tail behind.
+	items := s.items[:cap(s.items)]
+	for i := range items {
+		kb := items[i].keyBuf
+		items[i] = workItem{keyBuf: kb[:0]}
 	}
 	s.items = s.items[:0]
-	clear(s.evs)
+	clear(s.evs[:cap(s.evs)])
 	s.evs = s.evs[:0]
+	clear(s.ins[:cap(s.ins)])
 	s.ins = s.ins[:0]
 	clear(s.nodeBuf)
 	s.nodeBuf = s.nodeBuf[:0]

@@ -25,7 +25,10 @@ func preflight(n *circuit.Netlist) error {
 	// Duplicate device names (across all device kinds): a name collision
 	// makes reports and incremental edits ambiguous. Unnamed devices are
 	// skipped — the builder APIs allow them and they collide vacuously.
-	seen := map[string]string{}
+	// Both maps are sized from the device counts up front, so neither
+	// rehashes while it fills.
+	nt, nr, nv := len(n.Transistors), len(n.Resistors), len(n.VSources)
+	seen := make(map[string]string, nt+nr+nv+len(n.Capacitors))
 	dup := func(name, kind string) error {
 		if name == "" {
 			return nil
@@ -47,7 +50,7 @@ func preflight(n *circuit.Netlist) error {
 
 	// touch counts how many device terminals (transistor channel/gate,
 	// resistor ends, source ends) connect to each node.
-	touch := map[string]int{}
+	touch := make(map[string]int, nt+nr+nv)
 	bump := func(nodes ...string) {
 		for _, nd := range nodes {
 			touch[circuit.CanonName(nd)]++

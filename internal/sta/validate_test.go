@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"qwm/internal/circuit"
+	"qwm/internal/stages"
 )
 
 // analyzeExpectInvalid runs an Analyze and asserts the typed pre-flight
@@ -114,5 +115,32 @@ func TestCombinationalLoopIsInvalidNetlist(t *testing.T) {
 func TestPreflightAcceptsHealthyNetlist(t *testing.T) {
 	if err := preflight(inverterChain(4, 1e-6, 2e-6)); err != nil {
 		t.Fatalf("healthy netlist rejected: %v", err)
+	}
+}
+
+// BenchmarkFrontEnd/preflight times pre-flight validation on the two
+// front-end benchmark decks (internal/service's BenchmarkFrontEnd times
+// decode, parse and extract on the same decks).
+func BenchmarkFrontEnd(b *testing.B) {
+	dec, _, _, err := stages.DecoderNetlist(tech, 6, 1e-6, 10e-15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wide, _, _, err := stages.WideNetlist(tech, 16, 24, 1e-6, 10e-15)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, d := range []struct {
+		name string
+		nl   *circuit.Netlist
+	}{{"decoder6", dec}, {"wide16x24", wide}} {
+		b.Run("preflight/"+d.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := preflight(d.nl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
